@@ -19,13 +19,10 @@
 //!   standard-triple normalization drives all binary operations;
 //! * a mark-and-sweep garbage collector behind an explicit root-pinning
 //!   API keeps long analysis sweeps from growing the arena monotonically;
-//! * variable order is a level permutation over [`Var`] indices: it starts
-//!   as the numeric index order (so callers still control the initial
-//!   placement — the timing engine interleaves time-shifted copies of each
-//!   signal), and [`BddManager::sift`] / the growth-triggered auto-reorder
-//!   hook permute levels at runtime via complement-edge-safe adjacent
-//!   swaps. Reordering changes node counts and time only; every handle
-//!   keeps denoting the same function.
+//! * variable order is the numeric [`Var`] index order: a variable's level
+//!   is its index, so callers control the layout by how they allocate
+//!   indices (the timing engine places the time-shifted copies of each
+//!   signal side by side). There is no dynamic reordering.
 //!
 //! # Examples
 //!
@@ -51,11 +48,10 @@ mod cubes;
 mod dot;
 mod hash;
 mod manager;
-mod reorder;
 mod snapshot;
 
 pub use cubes::{Cube, CubeIter};
-pub use manager::{Bdd, BddManager, BddStats, CompactMap, ReorderSchedule, Var, VarSet};
+pub use manager::{Bdd, BddManager, BddStats, CompactMap, Var, VarSet};
 pub use snapshot::{validate_order, BddImportError, BddSnapshot, SnapshotNode};
 
 #[cfg(test)]

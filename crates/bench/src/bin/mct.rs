@@ -21,14 +21,9 @@
 //!   --lp              Section-7 path-coupled linear programs
 //!   --threads N       sweep worker threads (0 = all CPUs; default 1);
 //!                     the report is identical at every thread count
-//!   --order P         BDD variable ordering: alloc | static | sift
-//!                     (default static); never changes the report, only
-//!                     node counts and wall time
-//!   --reorder-schedule S  when `--order sift` fires a pass:
-//!                     growth[:ratio] | always-once | time-budget[:ms] |
-//!                     adaptive (default; picks one of the others from
-//!                     circuit size and delay-class count); never changes
-//!                     the report
+//!   --order P         BDD variable ordering: alloc | static (default
+//!                     static); never changes the report, only node
+//!                     counts and wall time
 //!   --decompose       slice into independent cones of influence and
 //!                     analyze each with its own BDD manager; the
 //!                     recombined report is bit-identical, usually with a
@@ -52,9 +47,9 @@
 //!   --listen ADDR        bind address (default 127.0.0.1:7934; port 0 = ephemeral)
 //!   --workers N          worker threads (default 2)
 //!   --cache-capacity N   in-memory result-cache entries (default 64)
-//!   --cache-dir DIR      persist results, reachability snapshots, learned
-//!                        variable orders, and cone replay seeds across
-//!                        restarts (a restarted daemon warm-starts from disk)
+//!   --cache-dir DIR      persist results, reachability snapshots and cone
+//!                        replay seeds across restarts (a restarted daemon
+//!                        warm-starts from disk)
 //!   --cache-max-bytes N  byte budget, applied to the in-memory cache and
 //!                        the disk store each (LRU eviction; artifacts
 //!                        larger than the budget bypass admission)
@@ -91,7 +86,7 @@
 //!                        nondeterministic field, `wall_ms`)
 //! ```
 
-use mct_core::{MctAnalyzer, MctOptions, ReorderSchedule, SigmaStrategy, VarOrder};
+use mct_core::{MctAnalyzer, MctOptions, SigmaStrategy, VarOrder};
 use mct_netlist::{
     circuit_digests, parse_bench, parse_blif, write_bench, write_blif, Circuit, DelayModel,
     FsmView, Time,
@@ -112,7 +107,6 @@ struct Flags {
     lp: bool,
     threads: usize,
     ordering: VarOrder,
-    reorder_schedule: ReorderSchedule,
     decompose: bool,
     sigma: SigmaStrategy,
     skew: bool,
@@ -154,7 +148,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         lp: false,
         threads: 1,
         ordering: VarOrder::default(),
-        reorder_schedule: ReorderSchedule::Adaptive,
         decompose: false,
         sigma: SigmaStrategy::default(),
         skew: false,
@@ -205,15 +198,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--order" => match it.next().map(String::as_str) {
                 Some("alloc") => f.ordering = VarOrder::Alloc,
                 Some("static") => f.ordering = VarOrder::Static,
-                Some("sift") => f.ordering = VarOrder::Sift,
-                other => return Err(format!("--order needs alloc|static|sift, got {other:?}")),
+                other => return Err(format!("--order needs alloc|static, got {other:?}")),
             },
-            "--reorder-schedule" => {
-                let spec = it.next().ok_or(
-                    "--reorder-schedule needs growth[:ratio]|always-once|time-budget[:ms]|adaptive",
-                )?;
-                f.reorder_schedule = mct_serve::report::parse_reorder_schedule(spec)?;
-            }
             "--sigma" => match it.next().map(String::as_str) {
                 Some("flat") => f.sigma = SigmaStrategy::Flat,
                 Some("pruned") => f.sigma = SigmaStrategy::Pruned,
@@ -378,7 +364,6 @@ fn mct_options(flags: &Flags) -> MctOptions {
         exact_check: flags.exact,
         num_threads: flags.threads,
         ordering: flags.ordering,
-        reorder_schedule: flags.reorder_schedule,
         decompose: flags.decompose,
         sigma: flags.sigma,
         skew: flags.skew,
@@ -437,20 +422,6 @@ fn cmd_analyze(flags: &Flags) -> Result<(), String> {
                     (
                         "ops_cache_lookups".into(),
                         Json::Int(k.ops_cache_lookups as i64),
-                    ),
-                    ("reorder_passes".into(), Json::Int(k.reorder_passes as i64)),
-                    ("reorder_swaps".into(), Json::Int(k.reorder_swaps as i64)),
-                    (
-                        "reorder_time_ms".into(),
-                        Json::Int(k.reorder_time_ms as i64),
-                    ),
-                    (
-                        "nodes_before_reorder".into(),
-                        Json::Int(k.nodes_before_reorder as i64),
-                    ),
-                    (
-                        "nodes_after_reorder".into(),
-                        Json::Int(k.nodes_after_reorder as i64),
                     ),
                     ("compactions".into(), Json::Int(k.compactions as i64)),
                     ("mvec_memo_hits".into(), Json::Int(k.mvec_memo_hits as i64)),
@@ -520,9 +491,6 @@ fn cmd_analyze(flags: &Flags) -> Result<(), String> {
         }
     }
     println!("  bdd kernel             {}", report.kernel);
-    if flags.ordering == VarOrder::Sift && report.kernel.reorder_passes == 0 {
-        println!("  reorder: requested, never triggered");
-    }
     Ok(())
 }
 
@@ -783,7 +751,6 @@ fn build_analyze_request(
                 match opts.ordering {
                     VarOrder::Alloc => "alloc",
                     VarOrder::Static => "static",
-                    VarOrder::Sift => "sift",
                 }
                 .into(),
             ),
@@ -873,7 +840,6 @@ fn cmd_cache(flags: &Flags) -> Result<(), String> {
             for entry in store.ls() {
                 let kind = match entry.kind {
                     Some(mct_store::ArtifactKind::Reach) => "reach",
-                    Some(mct_store::ArtifactKind::Order) => "order",
                     Some(mct_store::ArtifactKind::Cone) => "cone",
                     None => "other",
                 };
@@ -1006,7 +972,7 @@ fn main() -> ExitCode {
         eprintln!(
             "mct analyze <file> [--blif] [--model unit|mapped] [--fixed] \
              [--no-reachability] [--exact] [--lp] [--threads N] \
-             [--order alloc|static|sift] [--reorder-schedule S] [--decompose] \
+             [--order alloc|static] [--decompose] \
              [--sigma flat|pruned] [--json]\n\
              mct delays <file> [--blif] [--model unit|mapped]\n\
              mct simulate <file> --period X [--cycles N] [--seed S] [--vcd out.vcd]\n\

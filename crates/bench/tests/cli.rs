@@ -65,6 +65,36 @@ fn unknown_command_and_flag_fail() {
 }
 
 #[test]
+fn removed_reordering_knobs_are_usage_errors() {
+    let output = mct()
+        .args(["analyze", "--order", "sift"])
+        .arg(fig2_path())
+        .output()
+        .unwrap();
+    assert!(!output.status.success(), "--order sift must exit non-zero");
+    let err = stderr_of(&output);
+    assert!(
+        err.contains("--order needs alloc|static"),
+        "stderr was: {err}"
+    );
+
+    let output = mct()
+        .args(["analyze", "--reorder-schedule", "adaptive"])
+        .arg(fig2_path())
+        .output()
+        .unwrap();
+    assert!(
+        !output.status.success(),
+        "--reorder-schedule must exit non-zero"
+    );
+    let err = stderr_of(&output);
+    assert!(
+        err.contains("unknown flag `--reorder-schedule`"),
+        "stderr was: {err}"
+    );
+}
+
+#[test]
 fn query_against_no_server_fails_cleanly() {
     let output = mct()
         .args(["query", "--ping", "--connect", "127.0.0.1:1"])
@@ -98,6 +128,9 @@ fn analyze_json_emits_a_parsable_report() {
         Some(2)
     );
     assert_eq!(report.get("timed_out").and_then(Json::as_bool), Some(false));
+    let kernel = report.get("kernel").expect("kernel diagnostics");
+    assert!(kernel.get("peak_nodes").is_some());
+    assert!(kernel.get("reorder_swaps").is_none());
 }
 
 /// Kills the serve child if a test assertion unwinds first.

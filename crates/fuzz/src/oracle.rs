@@ -39,9 +39,7 @@
 //!   claims; and explicitly-zero `# .skew` annotations are an arithmetic
 //!   identity — the report is byte-identical to the unannotated baseline.
 
-use mct_core::{
-    MctAnalyzer, MctOptions, MctReport, ReachSnapshot, ReorderSchedule, SigmaStrategy, VarOrder,
-};
+use mct_core::{MctAnalyzer, MctOptions, MctReport, ReachSnapshot, SigmaStrategy, VarOrder};
 use mct_lp::Rat;
 use mct_netlist::{circuit_digests, parse_blif, write_blif, Circuit, DelayModel, Time};
 use mct_serve::report::{options_fingerprint, report_to_json};
@@ -801,7 +799,7 @@ fn metamorphic(
     for (ordering, threads) in [
         (VarOrder::Alloc, 1),
         (VarOrder::Static, 2),
-        (VarOrder::Sift, 4),
+        (VarOrder::Static, 4),
     ] {
         let opts = MctOptions {
             ordering,
@@ -826,17 +824,16 @@ fn metamorphic(
         }
     }
 
-    // 5. Reorder schedule × sigma strategy under sifting: schedules only
-    //    decide *when* the kernel reorders, never what the sweep reports.
-    for (schedule, sigma, threads) in [
-        (ReorderSchedule::GrowthRatio(1.5), SigmaStrategy::Pruned, 1),
-        (ReorderSchedule::AlwaysOnce, SigmaStrategy::Flat, 2),
-        (ReorderSchedule::TimeBudget(20), SigmaStrategy::Pruned, 2),
-        (ReorderSchedule::Adaptive, SigmaStrategy::Flat, 1),
+    // 5. Variable order × sigma strategy × thread count: the Φ walk and
+    //    the worker split change only work, never what the sweep reports.
+    for (ordering, sigma, threads) in [
+        (VarOrder::Alloc, SigmaStrategy::Flat, 1),
+        (VarOrder::Static, SigmaStrategy::Flat, 2),
+        (VarOrder::Alloc, SigmaStrategy::Flat, 4),
+        (VarOrder::Alloc, SigmaStrategy::Pruned, 2),
     ] {
         let opts = MctOptions {
-            ordering: VarOrder::Sift,
-            reorder_schedule: schedule,
+            ordering,
             sigma,
             num_threads: threads,
             ..ctx.opts.analysis.clone()
@@ -849,7 +846,7 @@ fn metamorphic(
                     return Some(Failure {
                         oracle: "metamorphic",
                         detail: format!(
-                            "report differs under schedule={schedule:?} sigma={sigma:?} \
+                            "report differs under ordering={ordering:?} sigma={sigma:?} \
                              threads={threads}:\n  base: {base_json}\n  got:  {j}"
                         ),
                     });

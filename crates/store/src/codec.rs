@@ -4,10 +4,9 @@
 //!
 //! ```text
 //! header   := magic "MCTB" | version u16 | kind u8 | flags u8
-//! payload  := reach | order | cone            (selected by kind)
+//! payload  := reach | cone                    (selected by kind)
 //!
 //! reach    := tvars | snapshot | states f64bits
-//! order    := tvars
 //! cone     := tvars | snapshot | tail u64 | period u64 | has_reach u8
 //!           | cx_count u32  { sub | m i64 | outcome }*
 //!           | ex_count u32  { sub | m_state i64 | m_input i64
@@ -25,7 +24,11 @@
 //! is `±(i+2)`, negative means a complemented edge; nodes appear children
 //! first (the topological order [`mct_bdd::BddManager::export_bdd`]
 //! emits). The `flags` bit 0 records that the producer uses complement
-//! edges — always set by this writer, required by this reader.
+//! edges — always set by this writer, required by this reader. Writers
+//! emit the identity `order`; readers validate it as a permutation.
+//!
+//! Kind 2 was a learned variable order (`tvars` only) in older stores. It
+//! is retired: this reader treats it as an unknown kind.
 //!
 //! Every decode path is bounds-checked and every declared length is
 //! validated against the bytes actually remaining, so hostile input costs
@@ -33,7 +36,7 @@
 //! allocation.
 
 use mct_bdd::{BddSnapshot, SnapshotNode};
-use mct_core::{ConeData, ExactPartData, OrderData, OutcomeData, ReachData};
+use mct_core::{ConeData, ExactPartData, OutcomeData, ReachData};
 use mct_tbf::TimedVar;
 use std::fmt;
 
@@ -44,14 +47,13 @@ pub const FORMAT_VERSION: u16 = 1;
 /// Flags bit 0: the node list uses complement (signed) edges.
 const FLAG_COMPLEMENT_EDGES: u8 = 1;
 
-/// Artifact kind tag carried in the header.
+/// Artifact kind tag carried in the header. Tag 2 (learned variable
+/// orders) is retired and decodes as unknown.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum ArtifactKind {
     /// A [`ReachData`] reachable-state snapshot.
     Reach = 1,
-    /// An [`OrderData`] learned variable order.
-    Order = 2,
     /// A [`ConeData`] cone replay seed.
     Cone = 3,
 }
@@ -60,7 +62,6 @@ impl ArtifactKind {
     fn from_u8(v: u8) -> Option<ArtifactKind> {
         match v {
             1 => Some(ArtifactKind::Reach),
-            2 => Some(ArtifactKind::Order),
             3 => Some(ArtifactKind::Cone),
             _ => None,
         }
@@ -469,26 +470,6 @@ pub fn decode_reach(bytes: &[u8]) -> R<ReachData> {
     })
 }
 
-/// Encodes a learned variable order.
-pub fn encode_order(data: &OrderData) -> Vec<u8> {
-    let mut w = Writer::new(ArtifactKind::Order);
-    w.timed_vars(&data.vars);
-    w.buf
-}
-
-/// Decodes a learned variable order.
-///
-/// # Errors
-///
-/// [`StoreError`] on any malformed, truncated, or mis-versioned input.
-pub fn decode_order(bytes: &[u8]) -> R<OrderData> {
-    let mut r = Reader::new(bytes);
-    read_header(&mut r, ArtifactKind::Order)?;
-    let vars = r.timed_vars()?;
-    r.finish()?;
-    Ok(OrderData { vars })
-}
-
 /// Encodes a cone replay seed.
 pub fn encode_cone(data: &ConeData) -> Vec<u8> {
     let mut w = Writer::new(ArtifactKind::Cone);
@@ -635,17 +616,16 @@ mod tests {
     }
 
     #[test]
-    fn order_round_trip() {
-        let data = OrderData {
-            vars: vec![
-                TimedVar::Old { leaf: 5 },
-                TimedVar::Arbitrary { leaf: 2, delay: -7 },
-                TimedVar::Primed { leaf: 1, depth: 3 },
-                TimedVar::Absolute { leaf: 0, cycle: -1 },
-            ],
-        };
-        let bytes = encode_order(&data);
-        assert_eq!(decode_order(&bytes).unwrap(), data);
+    fn every_timed_var_tag_round_trips() {
+        let mut data = sample_reach();
+        data.vars.extend([
+            TimedVar::Old { leaf: 5 },
+            TimedVar::Arbitrary { leaf: 2, delay: -7 },
+            TimedVar::Primed { leaf: 1, depth: 3 },
+            TimedVar::Absolute { leaf: 0, cycle: -1 },
+        ]);
+        let bytes = encode_reach(&data);
+        assert_eq!(decode_reach(&bytes).unwrap(), data);
     }
 
     #[test]
@@ -729,32 +709,32 @@ mod tests {
 
     #[test]
     fn header_violations() {
-        let good = encode_order(&OrderData { vars: Vec::new() });
+        let good = encode_reach(&sample_reach());
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert_eq!(decode_order(&bad).unwrap_err(), StoreError::BadMagic);
+        assert_eq!(decode_reach(&bad).unwrap_err(), StoreError::BadMagic);
         let mut bad = good.clone();
         bad[4] = 0xff;
         assert!(matches!(
-            decode_order(&bad).unwrap_err(),
+            decode_reach(&bad).unwrap_err(),
             StoreError::UnsupportedVersion { .. }
         ));
         let mut bad = good.clone();
-        bad[6] = ArtifactKind::Reach as u8;
+        bad[6] = ArtifactKind::Cone as u8;
         assert!(matches!(
-            decode_order(&bad).unwrap_err(),
+            decode_reach(&bad).unwrap_err(),
             StoreError::WrongKind { .. }
         ));
         let mut bad = good.clone();
         bad[7] = 0;
         assert!(matches!(
-            decode_order(&bad).unwrap_err(),
+            decode_reach(&bad).unwrap_err(),
             StoreError::BadFlags { .. }
         ));
         let mut bad = good;
         bad.push(0);
         assert!(matches!(
-            decode_order(&bad).unwrap_err(),
+            decode_reach(&bad).unwrap_err(),
             StoreError::TrailingBytes { .. }
         ));
     }
@@ -766,12 +746,30 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.push(ArtifactKind::Order as u8);
+        bytes.push(ArtifactKind::Reach as u8);
         bytes.push(1);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_order(&bytes).unwrap_err(),
+            decode_reach(&bytes).unwrap_err(),
             StoreError::Truncated { .. }
+        ));
+    }
+
+    #[test]
+    fn retired_order_kind_is_unknown() {
+        let mut bytes = encode_reach(&sample_reach());
+        bytes[6] = 2;
+        assert_eq!(
+            peek_kind(&bytes).unwrap_err(),
+            StoreError::Malformed("artifact kind")
+        );
+        assert!(matches!(
+            decode_reach(&bytes).unwrap_err(),
+            StoreError::WrongKind { got: 2, .. }
+        ));
+        assert!(matches!(
+            decode_cone(&bytes).unwrap_err(),
+            StoreError::WrongKind { got: 2, .. }
         ));
     }
 }

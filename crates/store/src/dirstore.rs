@@ -6,11 +6,15 @@
 //!
 //! ```text
 //! reach-<layout:032x>.mctb            reachable-state snapshot
-//! order-<layout:032x>.mctb            learned variable order
 //! cone-<layout:032x>-<fp:016x>.mctb   cone replay seed
 //! <circuit:032x>-<fp:016x>.json       report (text format owned by the
 //!                                     service's result cache)
 //! ```
+//!
+//! Older stores may also hold `order-<layout:032x>.mctb` files (artifact
+//! kind 2, learned variable orders). Nothing reads them any more: they stay
+//! in the byte account, [`Store::ls`] lists them with no kind, and
+//! [`Store::gc`] removes them as undecodable.
 //!
 //! The binary classes are keyed by the **layout** digest — the canonical
 //! digest that still distinguishes register positions — because snapshot
@@ -28,11 +32,8 @@
 //! bigger than the whole budget bypasses admission instead of flushing
 //! everything else.
 
-use crate::codec::{
-    decode_cone, decode_order, decode_reach, encode_cone, encode_order, encode_reach, peek_kind,
-    ArtifactKind,
-};
-use mct_core::{ConeData, OrderData, ReachData};
+use crate::codec::{decode_cone, decode_reach, encode_cone, encode_reach, peek_kind, ArtifactKind};
+use mct_core::{ConeData, ReachData};
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -42,11 +43,6 @@ use std::path::{Path, PathBuf};
 /// pass the digest pre-formatted as 32 lowercase hex digits).
 pub fn reach_name(layout_hex: &str) -> String {
     format!("reach-{layout_hex}.mctb")
-}
-
-/// File name of a learned-order artifact for a layout digest.
-pub fn order_name(layout_hex: &str) -> String {
-    format!("order-{layout_hex}.mctb")
 }
 
 /// File name of a cone replay seed for a (cone layout digest, options
@@ -271,23 +267,6 @@ impl Store {
         decode_reach(&bytes).ok()
     }
 
-    /// Persists a learned order for a layout digest. Returns `false` on
-    /// oversized bypass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_order(&mut self, layout_hex: &str, data: &OrderData) -> io::Result<bool> {
-        self.save(&order_name(layout_hex), &encode_order(data))
-    }
-
-    /// Loads the learned order for a layout digest; any bad file is a
-    /// miss.
-    pub fn load_order(&mut self, layout_hex: &str) -> Option<OrderData> {
-        let bytes = self.load(&order_name(layout_hex))?;
-        decode_order(&bytes).ok()
-    }
-
     /// Persists a cone replay seed for a (cone layout digest, options
     /// fingerprint) pair. Returns `false` on oversized bypass.
     ///
@@ -352,7 +331,6 @@ impl Store {
                 .ok()
                 .map(|bytes| match peek_kind(&bytes) {
                     Ok(ArtifactKind::Reach) => decode_reach(&bytes).is_ok(),
-                    Ok(ArtifactKind::Order) => decode_order(&bytes).is_ok(),
                     Ok(ArtifactKind::Cone) => decode_cone(&bytes).is_ok(),
                     Err(_) => false,
                 })
@@ -407,9 +385,22 @@ mod tests {
         dir
     }
 
-    fn order_of(n: usize) -> OrderData {
-        OrderData {
-            vars: (0..n).map(|leaf| TimedVar::Next { leaf }).collect(),
+    /// A one-node reach artifact whose timed-variable list has `n`
+    /// entries, so `n` scales the encoded size.
+    fn reach_of(n: usize) -> ReachData {
+        ReachData {
+            vars: (0..n.max(1)).map(|leaf| TimedVar::Next { leaf }).collect(),
+            snapshot: mct_bdd::BddSnapshot {
+                num_vars: 1,
+                order: vec![0],
+                nodes: vec![mct_bdd::SnapshotNode {
+                    var: 0,
+                    lo: -1,
+                    hi: 1,
+                }],
+                roots: vec![2],
+            },
+            states: 1.0,
         }
     }
 
@@ -417,34 +408,34 @@ mod tests {
     fn save_load_round_trip_and_reopen() {
         let dir = tmpdir("roundtrip");
         let mut store = Store::open(&dir, None).unwrap();
-        let data = order_of(4);
-        assert!(store.save_order("00ff", &data).unwrap());
-        assert_eq!(store.load_order("00ff"), Some(data.clone()));
-        assert_eq!(store.load_order("beef"), None);
+        let data = reach_of(4);
+        assert!(store.save_reach("00ff", &data).unwrap());
+        assert_eq!(store.load_reach("00ff"), Some(data.clone()));
+        assert_eq!(store.load_reach("beef"), None);
         let expected = store.bytes_in_use();
         drop(store);
         // Reopen: the scan must rebuild the byte account.
         let mut store = Store::open(&dir, None).unwrap();
         assert_eq!(store.bytes_in_use(), expected);
-        assert_eq!(store.load_order("00ff"), Some(data));
+        assert_eq!(store.load_reach("00ff"), Some(data));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn lru_eviction_keeps_directory_under_budget() {
         let dir = tmpdir("lru");
-        let one = encode_order(&order_of(4));
+        let one = encode_reach(&reach_of(4));
         let budget = one.len() as u64 * 2;
         let mut store = Store::open(&dir, Some(budget)).unwrap();
-        assert!(store.save_order("aa", &order_of(4)).unwrap());
-        assert!(store.save_order("bb", &order_of(4)).unwrap());
+        assert!(store.save_reach("aa", &reach_of(4)).unwrap());
+        assert!(store.save_reach("bb", &reach_of(4)).unwrap());
         // Touch "aa" so "bb" is the LRU victim.
-        assert!(store.load_order("aa").is_some());
-        assert!(store.save_order("cc", &order_of(4)).unwrap());
+        assert!(store.load_reach("aa").is_some());
+        assert!(store.save_reach("cc", &reach_of(4)).unwrap());
         assert!(store.bytes_in_use() <= budget);
         assert_eq!(store.evictions(), 1);
-        assert!(store.load_order("bb").is_none(), "LRU file evicted");
-        assert!(store.load_order("aa").is_some(), "recently used survives");
+        assert!(store.load_reach("bb").is_none(), "LRU file evicted");
+        assert!(store.load_reach("aa").is_some(), "recently used survives");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -452,7 +443,7 @@ mod tests {
     fn oversized_artifact_bypasses_admission() {
         let dir = tmpdir("oversize");
         let mut store = Store::open(&dir, Some(8)).unwrap();
-        assert!(!store.save_order("aa", &order_of(64)).unwrap());
+        assert!(!store.save_reach("aa", &reach_of(64)).unwrap());
         assert_eq!(store.bytes_in_use(), 0);
         assert_eq!(store.num_files(), 0);
         let _ = fs::remove_dir_all(&dir);
@@ -462,9 +453,9 @@ mod tests {
     fn gc_removes_corrupt_and_prunes() {
         let dir = tmpdir("gc");
         let mut store = Store::open(&dir, None).unwrap();
-        store.save_order("aa", &order_of(2)).unwrap();
-        store.save_order("bb", &order_of(2)).unwrap();
-        store.save("order-cc.mctb", b"garbage").unwrap();
+        store.save_reach("aa", &reach_of(2)).unwrap();
+        store.save_reach("bb", &reach_of(2)).unwrap();
+        store.save("reach-cc.mctb", b"garbage").unwrap();
         drop(store);
         let mut store = Store::open(&dir, None).unwrap();
         assert_eq!(store.num_files(), 3);
@@ -481,9 +472,9 @@ mod tests {
     fn rm_by_digest_substring() {
         let dir = tmpdir("rm");
         let mut store = Store::open(&dir, None).unwrap();
-        store.save_order("deadbeef", &order_of(1)).unwrap();
-        store.save_reach("deadbeef", &sample_reach()).unwrap();
-        store.save_order("cafe", &order_of(1)).unwrap();
+        store.save_reach("deadbeef", &reach_of(1)).unwrap();
+        store.save_cone("deadbeef", 7, &sample_cone()).unwrap();
+        store.save_reach("cafe", &reach_of(1)).unwrap();
         assert_eq!(store.rm("deadbeef"), 2);
         assert_eq!(store.rm(""), 0);
         assert_eq!(store.num_files(), 1);
@@ -494,8 +485,8 @@ mod tests {
     fn ls_classifies() {
         let dir = tmpdir("ls");
         let mut store = Store::open(&dir, None).unwrap();
-        store.save_order("aa", &order_of(1)).unwrap();
-        store.save_reach("bb", &sample_reach()).unwrap();
+        store.save_cone("aa", 7, &sample_cone()).unwrap();
+        store.save_reach("bb", &reach_of(1)).unwrap();
         store.save("cc.json", b"{}").unwrap();
         let entries = store.ls();
         assert_eq!(entries.len(), 3);
@@ -506,26 +497,25 @@ mod tests {
                 .map(|e| e.kind)
                 .unwrap()
         };
-        assert_eq!(kind_of("order-aa.mctb"), Some(ArtifactKind::Order));
+        assert_eq!(
+            kind_of("cone-aa-0000000000000007.mctb"),
+            Some(ArtifactKind::Cone)
+        );
         assert_eq!(kind_of("reach-bb.mctb"), Some(ArtifactKind::Reach));
         assert_eq!(kind_of("cc.json"), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
-    fn sample_reach() -> ReachData {
-        ReachData {
-            vars: vec![TimedVar::Shifted { leaf: 0, shift: 0 }],
-            snapshot: mct_bdd::BddSnapshot {
-                num_vars: 1,
-                order: vec![0],
-                nodes: vec![mct_bdd::SnapshotNode {
-                    var: 0,
-                    lo: -1,
-                    hi: 1,
-                }],
-                roots: vec![2],
-            },
-            states: 1.0,
+    fn sample_cone() -> ConeData {
+        let reach = reach_of(1);
+        ConeData {
+            vars: reach.vars,
+            snapshot: reach.snapshot,
+            tail: 0,
+            period: 1,
+            has_reach: false,
+            outcomes_cx: Vec::new(),
+            outcomes_exact: Vec::new(),
         }
     }
 }

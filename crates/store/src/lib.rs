@@ -1,12 +1,11 @@
 //! Versioned on-disk persistence for the analysis service's hot artifacts.
 //!
-//! The service caches three expensive artifact classes in memory —
-//! reachable-state snapshots, learned (sifted) variable orders, and
-//! per-cone replay seeds — plus final report JSON. This crate gives the
-//! three symbolic classes a durable form:
+//! The service caches two expensive artifact classes in memory —
+//! reachable-state snapshots and per-cone replay seeds — plus final report
+//! JSON. This crate gives the two symbolic classes a durable form:
 //!
 //! * a **binary codec** (DDDMP-flavoured) for the plain-data mirrors from
-//!   `mct-core` ([`ReachData`], [`OrderData`], [`ConeData`]): a fixed
+//!   `mct-core` ([`ReachData`], [`ConeData`]): a fixed
 //!   header carrying magic, format version, artifact kind, and a
 //!   complement-edge flag, then little-endian fixed-width payloads whose
 //!   node lists are topologically sorted with signed (negative =
@@ -34,9 +33,9 @@ mod codec;
 mod dirstore;
 
 pub use codec::{
-    decode_cone, decode_order, decode_reach, encode_cone, encode_order, encode_reach, peek_kind,
-    ArtifactKind, StoreError, FORMAT_VERSION, MAGIC,
+    decode_cone, decode_reach, encode_cone, encode_reach, peek_kind, ArtifactKind, StoreError,
+    FORMAT_VERSION, MAGIC,
 };
-pub use dirstore::{cone_name, order_name, reach_name, GcOutcome, Store, StoreEntry};
+pub use dirstore::{cone_name, reach_name, GcOutcome, Store, StoreEntry};
 
-pub use mct_core::{ConeData, OrderData, ReachData};
+pub use mct_core::{ConeData, ReachData};

@@ -4,10 +4,9 @@
 //! hangs, or outsized allocations — and must never corrupt a live manager.
 
 use mct_bdd::{BddManager, BddSnapshot, SnapshotNode, Var};
-use mct_core::{OrderData, ReachData, ReachSnapshot};
+use mct_core::{ConeData, ReachData, ReachSnapshot};
 use mct_store::{
-    decode_cone, decode_order, decode_reach, encode_reach, ArtifactKind, Store, StoreError,
-    FORMAT_VERSION, MAGIC,
+    decode_cone, decode_reach, encode_reach, ArtifactKind, Store, StoreError, FORMAT_VERSION, MAGIC,
 };
 use mct_tbf::TimedVar;
 use std::fs;
@@ -44,6 +43,37 @@ fn valid_reach() -> ReachData {
         },
         states: 2.0,
     }
+}
+
+fn valid_cone() -> ConeData {
+    let reach = valid_reach();
+    ConeData {
+        vars: reach.vars,
+        snapshot: reach.snapshot,
+        tail: 0,
+        period: 1,
+        has_reach: false,
+        outcomes_cx: Vec::new(),
+        outcomes_exact: Vec::new(),
+    }
+}
+
+/// A learned-order file as older stores wrote it: the artifact header
+/// with kind 2, then a timed-variable list (`Next { leaf: 0 }` and
+/// `Next { leaf: 1 }`).
+fn legacy_order_bytes() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(MAGIC);
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.push(2); // kind: learned order (retired)
+    bytes.push(1); // flags: complement edges
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    for leaf in 0..2u64 {
+        bytes.push(2); // tag: Next
+        bytes.extend_from_slice(&leaf.to_le_bytes());
+        bytes.extend_from_slice(&0i64.to_le_bytes());
+    }
+    bytes
 }
 
 #[test]
@@ -140,15 +170,19 @@ fn wrong_var_count_fails_import() {
 fn kind_confusion_is_rejected() {
     let reach_bytes = encode_reach(&valid_reach());
     assert!(matches!(
-        decode_order(&reach_bytes).unwrap_err(),
+        decode_cone(&reach_bytes).unwrap_err(),
         StoreError::WrongKind {
-            expected: ArtifactKind::Order,
+            expected: ArtifactKind::Cone,
             ..
         }
     ));
+    let cone_bytes = mct_store::encode_cone(&valid_cone());
     assert!(matches!(
-        decode_cone(&reach_bytes).unwrap_err(),
-        StoreError::WrongKind { .. }
+        decode_reach(&cone_bytes).unwrap_err(),
+        StoreError::WrongKind {
+            expected: ArtifactKind::Reach,
+            ..
+        }
     ));
 }
 
@@ -179,12 +213,14 @@ fn corrupt_files_are_misses_and_gc_prunes_them() {
     corrupt.truncate(corrupt.len() / 2);
     store.save("reach-bad0.mctb", &corrupt).unwrap();
     store.save("reach-bad1.mctb", b"MCTB").unwrap();
-    store.save("order-bad2.mctb", &[0xff; 64]).unwrap();
+    store
+        .save("cone-bad2-0000000000000000.mctb", &[0xff; 64])
+        .unwrap();
 
     assert!(store.load_reach("good").is_some());
     assert!(store.load_reach("bad0").is_none());
     assert!(store.load_reach("bad1").is_none());
-    assert!(store.load_order("bad2").is_none());
+    assert!(store.load_cone("bad2", 0).is_none());
 
     let outcome = store.gc(None);
     assert_eq!(outcome.removed, 3, "all three corrupt files pruned");
@@ -204,24 +240,47 @@ fn deleted_store_directory_degrades_to_misses() {
 }
 
 #[test]
-fn stale_order_artifact_cannot_corrupt_an_analyzer() {
-    // An order file with duplicate variables (e.g. written by a buggy or
-    // malicious producer) must be rejected by the analyzer preload with a
-    // structured error, leaving the analyzer usable.
-    let dup = OrderData {
-        vars: vec![TimedVar::Next { leaf: 0 }, TimedVar::Next { leaf: 0 }],
-    };
-    let bytes = mct_store::encode_order(&dup);
-    let decoded = decode_order(&bytes).unwrap();
-    use mct_netlist::{Circuit, GateKind, Time};
-    let mut c = Circuit::new("t");
-    let q = c.add_dff("q", false, Time::ZERO);
-    let n = c.add_gate("n", GateKind::Not, &[q], Time::UNIT);
-    c.connect_dff_data("q", n).unwrap();
-    c.set_output(q);
-    let mut analyzer = mct_core::MctAnalyzer::new(&c).unwrap();
-    assert!(analyzer.preload_order(&decoded).is_err());
-    // The analyzer still runs fine afterwards.
-    let report = analyzer.run(&mct_core::MctOptions::default()).unwrap();
-    assert!(report.mct_upper_bound > 0.0);
+fn legacy_order_files_are_accounted_listed_and_collected() {
+    let dir = tmpdir("legacy-order");
+    let order = legacy_order_bytes();
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("order-00ff.mctb"), &order).unwrap();
+    let mut store = Store::open(&dir, None).unwrap();
+    store.save_reach("00ff", &valid_reach()).unwrap();
+    store.save_cone("00ff", 7, &valid_cone()).unwrap();
+    drop(store);
+
+    // Reopen so every file, the legacy one included, comes from the scan.
+    let mut store = Store::open(&dir, None).unwrap();
+    assert_eq!(store.num_files(), 3);
+    let on_disk: u64 = ["order-00ff.mctb", "reach-00ff.mctb"]
+        .iter()
+        .map(|f| fs::metadata(dir.join(f)).unwrap().len())
+        .sum::<u64>()
+        + fs::metadata(dir.join(mct_store::cone_name("00ff", 7)))
+            .unwrap()
+            .len();
+    assert_eq!(store.bytes_in_use(), on_disk, "legacy bytes are accounted");
+
+    let entries = store.ls();
+    let kind_of = |file: &str| entries.iter().find(|e| e.file == file).unwrap().kind;
+    assert_eq!(
+        kind_of("order-00ff.mctb"),
+        None,
+        "retired kind lists as unknown"
+    );
+    assert_eq!(kind_of("reach-00ff.mctb"), Some(ArtifactKind::Reach));
+    assert_eq!(
+        kind_of(&mct_store::cone_name("00ff", 7)),
+        Some(ArtifactKind::Cone)
+    );
+
+    let outcome = store.gc(None);
+    assert_eq!(outcome.removed, 1, "only the legacy order file goes");
+    assert_eq!(outcome.freed, order.len() as u64);
+    assert!(!dir.join("order-00ff.mctb").exists());
+    assert_eq!(store.num_files(), 2);
+    assert_eq!(store.load_reach("00ff"), Some(valid_reach()));
+    assert_eq!(store.load_cone("00ff", 7), Some(valid_cone()));
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -615,9 +615,9 @@ impl DiscreteMachine {
 /// cross-sink memo.
 ///
 /// Cached roots are pinned with [`BddManager::protect`] so they survive
-/// garbage collection and dynamic reordering; [`release`](Self::release)
-/// unpins everything. Callers release at candidate boundaries, so the
-/// arena stays bounded by the existing per-candidate collections.
+/// garbage collection; [`release`](Self::release) unpins everything.
+/// Callers release at candidate boundaries, so the arena stays bounded by
+/// the existing per-candidate collections.
 pub struct SigmaConeCache {
     /// Per sink (in `view.sinks()` order): the distinct `(leaf, delay)`
     /// pairs reaching it — the projection-key layout.

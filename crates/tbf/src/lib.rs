@@ -60,7 +60,7 @@ pub use error::TbfError;
 pub use extract::{
     ConeExtractor, DelayClass, DiscreteMachine, LeafPolicy, PathEdge, SigmaConeCache,
 };
-pub use order::{apply_sift_groups, export_order, OrderPolicy, StaticOrder};
+pub use order::{export_order, OrderPolicy, StaticOrder};
 pub use reachability::{count_states, reachable_states};
 pub use symbolic::circuit_tbf;
 pub use transfer::transfer_bdd;

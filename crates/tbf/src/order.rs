@@ -19,9 +19,9 @@
 //!
 //! Pre-registering this sequence into a fresh [`TimedVarTable`] pins the
 //! levels, because tables allocate dense [`mct_bdd::Var`] indices in
-//! registration order and the manager's level permutation starts as the
-//! identity. Variables the analysis later invents anyway (rare shapes the
-//! bound did not cover) append at the bottom — correct, merely suboptimal.
+//! registration order and a manager's level is the variable index.
+//! Variables the analysis later invents anyway (rare shapes the bound did
+//! not cover) append at the bottom — correct, merely suboptimal.
 //!
 //! Ordering is a performance lever only: analyses compare canonical
 //! function handles, so any order produces bit-identical reports.
@@ -125,24 +125,11 @@ fn leaf_dfs_order(view: &FsmView) -> Vec<usize> {
     order
 }
 
-/// Tags every variable the table knows with its leaf index as a sift
-/// group, so dynamic reordering moves a leaf's timed copies (`x(n−1)`,
-/// `x'`, `x[r]`, …) as one contiguous block instead of scattering them —
-/// the dynamic-reorder counterpart of the [`StaticOrder`] interleaving
-/// invariant. Idempotent; call again after the table grows to cover
-/// late-allocated variables.
-pub fn apply_sift_groups(manager: &mut BddManager, table: &TimedVarTable) {
-    for (tv, v) in table.iter() {
-        manager.set_var_group(v, tv.leaf() as u32);
-    }
-}
-
-/// Exports the manager's *current* level order as a timed-variable
-/// sequence, skipping levels whose variables the table does not know
-/// (never allocated through it). Pre-registering the result into a fresh
-/// table reproduces the order — the transport that lets parallel sweep
-/// workers and warm starts inherit a learned (sifted) order instead of
-/// re-deriving it.
+/// Exports the manager's variable order as a timed-variable sequence,
+/// skipping variables the table does not know (never allocated through
+/// it). Pre-registering the result into a fresh table reproduces the
+/// order — the transport that lets parallel sweep workers and warm-start
+/// snapshots inherit the main manager's layout instead of re-deriving it.
 pub fn export_order(manager: &BddManager, table: &TimedVarTable) -> Vec<TimedVar> {
     manager
         .level_order()
@@ -257,60 +244,6 @@ mod tests {
         for &tv in &tvs {
             assert_eq!(fresh.lookup(tv), table.lookup(tv));
         }
-    }
-
-    #[test]
-    fn grouped_sift_keeps_leaf_copies_contiguous() {
-        // Build a deliberately bad interleaving of three leaves' timed
-        // copies, tag sift groups by leaf, and force a reorder: every
-        // leaf's copies must still occupy one contiguous run of levels.
-        let mut m = BddManager::new();
-        let mut table = TimedVarTable::new();
-        let mut by_leaf: Vec<Vec<mct_bdd::Bdd>> = Vec::new();
-        for leaf in 0..3usize {
-            let mut copies = Vec::new();
-            for shift in 0..4 {
-                let v = table.var(TimedVar::Shifted { leaf, shift });
-                copies.push(m.var(v));
-            }
-            by_leaf.push(copies);
-        }
-        apply_sift_groups(&mut m, &table);
-        // Couple leaf 0 with leaf 2 so sifting wants to move whole blocks
-        // past the (independent) leaf-1 block sitting between them.
-        let mut f = m.constant(true);
-        let pairs: Vec<_> = by_leaf[0]
-            .iter()
-            .zip(&by_leaf[2])
-            .map(|(&a, &b)| (a, b))
-            .collect();
-        for (a, b) in pairs {
-            let x = m.xor(a, b);
-            f = m.and(f, x);
-        }
-        let mids = by_leaf[1].clone();
-        for v in mids {
-            f = m.and(f, v);
-        }
-        m.sift(&[f]);
-        let leaves: Vec<usize> = export_order(&m, &table)
-            .iter()
-            .map(|tv| tv.leaf())
-            .collect();
-        let mut blocks = vec![leaves[0]];
-        for &l in &leaves[1..] {
-            if *blocks.last().unwrap() != l {
-                blocks.push(l);
-            }
-        }
-        let mut unique = blocks.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(
-            blocks.len(),
-            unique.len(),
-            "grouped sift split a leaf's copies across blocks: {blocks:?}"
-        );
     }
 
     #[test]

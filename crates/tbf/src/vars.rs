@@ -69,22 +69,6 @@ pub enum TimedVar {
     },
 }
 
-impl TimedVar {
-    /// The dense leaf index this timed copy refers to. Every variant is a
-    /// timed view of exactly one leaf, so the accessor is total — it is what
-    /// lets group sifting treat all copies of one signal as a single block.
-    pub fn leaf(&self) -> usize {
-        match *self {
-            TimedVar::Shifted { leaf, .. }
-            | TimedVar::Absolute { leaf, .. }
-            | TimedVar::Next { leaf }
-            | TimedVar::Old { leaf }
-            | TimedVar::Arbitrary { leaf, .. }
-            | TimedVar::Primed { leaf, .. } => leaf,
-        }
-    }
-}
-
 impl fmt::Display for TimedVar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -105,10 +89,10 @@ impl fmt::Display for TimedVar {
 /// references get equal BDD variables — the precondition for comparing
 /// functions by canonicity.
 ///
-/// Allocation order doubles as the initial BDD variable order (the manager
-/// places new variables at the bottom of the current level permutation), so
-/// [`preregister`](Self::preregister)ing a structural order into a fresh
-/// table — see [`crate::StaticOrder`] — fully controls the starting levels.
+/// Allocation order doubles as the BDD variable order (a manager's level is
+/// the variable index), so [`preregister`](Self::preregister)ing a
+/// structural order into a fresh table — see [`crate::StaticOrder`] — fully
+/// controls the levels.
 ///
 /// # Examples
 ///

@@ -7,7 +7,7 @@
 //! when a report change is intentional and called out in CHANGES.md.
 
 use mct_serve::report::report_to_json;
-use mct_suite::core::{MctAnalyzer, MctOptions, ReorderSchedule, SigmaStrategy, VarOrder};
+use mct_suite::core::{MctAnalyzer, MctOptions, SigmaStrategy, VarOrder};
 use mct_suite::gen::families;
 use mct_suite::netlist::{parse_bench, Circuit, DelayModel};
 use std::fmt::Write as _;
@@ -75,7 +75,7 @@ fn reports_replay_byte_identical() {
     let mut rendered = String::new();
     for (name, circuit, opts) in corpus() {
         let base = report_line(&circuit, 1, VarOrder::Alloc, &opts);
-        for ordering in [VarOrder::Alloc, VarOrder::Static, VarOrder::Sift] {
+        for ordering in [VarOrder::Alloc, VarOrder::Static] {
             for threads in [1usize, 2, 4] {
                 if (ordering, threads) == (VarOrder::Alloc, 1) {
                     continue;
@@ -110,38 +110,31 @@ fn reports_replay_byte_identical() {
     );
 }
 
-/// Every reorder schedule must replay the *existing* golden capture byte
-/// for byte under sifting, across thread counts and both σ-enumeration
-/// strategies. Deliberately never re-blessed: a schedule-only divergence
-/// can never be blessed away.
+/// Both σ-enumeration strategies must replay the *existing* golden
+/// capture byte for byte, under every ordering policy and thread count.
+/// Deliberately never re-blessed: a strategy-only divergence can never be
+/// blessed away.
 #[test]
-fn scheduled_reports_replay_byte_identical() {
+fn sigma_strategy_reports_replay_byte_identical() {
     let golden = std::fs::read_to_string(golden_file())
         .expect("golden file missing; run reports_replay_byte_identical with MCT_BLESS=1 first");
     let golden: std::collections::HashMap<&str, &str> =
         golden.lines().filter_map(|l| l.split_once('\t')).collect();
-    let schedules = [
-        ReorderSchedule::GrowthRatio(1.5),
-        ReorderSchedule::AlwaysOnce,
-        ReorderSchedule::TimeBudget(20),
-        ReorderSchedule::Adaptive,
-    ];
     for (name, circuit, opts) in corpus() {
         let want = *golden
             .get(name.as_str())
             .expect("circuit missing from golden file");
-        for schedule in schedules {
+        for ordering in [VarOrder::Alloc, VarOrder::Static] {
             for threads in [1usize, 2, 4] {
                 for sigma in [SigmaStrategy::Flat, SigmaStrategy::Pruned] {
                     let run = MctOptions {
-                        reorder_schedule: schedule,
                         sigma,
                         ..opts.clone()
                     };
-                    let got = report_line(&circuit, threads, VarOrder::Sift, &run);
+                    let got = report_line(&circuit, threads, ordering, &run);
                     assert_eq!(
                         want, got,
-                        "{name}: report under {schedule:?} schedule at {threads} threads \
+                        "{name}: report under {ordering:?} ordering at {threads} threads \
                          with {sigma:?} σ differs from the golden capture"
                     );
                 }
@@ -164,7 +157,7 @@ fn skew_mode_reports_replay_byte_identical() {
     for (name, circuit, opts) in corpus() {
         let skew_opts = MctOptions { skew: true, ..opts };
         let base = report_line(&circuit, 1, VarOrder::Alloc, &skew_opts);
-        for ordering in [VarOrder::Alloc, VarOrder::Static, VarOrder::Sift] {
+        for ordering in [VarOrder::Alloc, VarOrder::Static] {
             for threads in [1usize, 2, 4] {
                 if (ordering, threads) == (VarOrder::Alloc, 1) {
                     continue;
@@ -218,7 +211,7 @@ fn decomposed_reports_replay_byte_identical() {
             decompose: true,
             ..opts
         };
-        for ordering in [VarOrder::Alloc, VarOrder::Static, VarOrder::Sift] {
+        for ordering in [VarOrder::Alloc, VarOrder::Static] {
             for threads in [1usize, 2, 4] {
                 let got = report_line(&circuit, threads, ordering, &base);
                 assert_eq!(

@@ -1,8 +1,8 @@
 //! Order invariance: the serialized analysis report is byte-identical
-//! under every variable-ordering policy — allocation order, the structural
-//! static order, and static + growth-triggered sifting — and survives
-//! *forced* mid-analysis reordering (`MCT_BDD_SIFT_STRESS=1`, which sifts
-//! at every garbage collection).
+//! under every variable-ordering policy — allocation order and the
+//! structural static order — and survives *forced* mid-analysis node
+//! relocation (`MCT_BDD_GC_STRESS=1 MCT_BDD_COMPACT_STRESS=1`, which
+//! collects and compacts the arena at every boundary).
 //!
 //! This is the hard correctness bar of the ordering subsystem: variable
 //! order may change node counts and wall time, never results. The analyses
@@ -11,18 +11,11 @@
 //! warm-start path.
 
 use mct_serve::report::report_to_json;
-use mct_suite::core::{MctAnalyzer, MctOptions, ReorderSchedule, SigmaStrategy, VarOrder};
+use mct_suite::core::{MctAnalyzer, MctOptions, SigmaStrategy, VarOrder};
 use mct_suite::gen::{families, paper_figure2, s27};
 use mct_suite::netlist::{Circuit, DelayModel, Time};
 
-const POLICIES: [VarOrder; 3] = [VarOrder::Alloc, VarOrder::Static, VarOrder::Sift];
-
-const SCHEDULES: [ReorderSchedule; 4] = [
-    ReorderSchedule::GrowthRatio(1.5),
-    ReorderSchedule::AlwaysOnce,
-    ReorderSchedule::TimeBudget(20),
-    ReorderSchedule::Adaptive,
-];
+const POLICIES: [VarOrder; 2] = [VarOrder::Alloc, VarOrder::Static];
 
 /// The invariance corpus: the paper's Figure 2, the ISCAS'89 s27, and
 /// twenty seeded random FSMs (same family parameters as the golden-replay
@@ -79,7 +72,7 @@ fn reports_identical_across_ordering_policies() {
 /// Bellman–Ford certification, and up to two exact sub-sweeps (the zeroed
 /// baseline and the witness machine) — and all of it must be just as
 /// order- and thread-invariant as the base sweep: byte-identical reports
-/// across {alloc, static, sift} × {1, 2, 4}. The corpus includes the
+/// across {alloc, static} × {1, 2, 4}. The corpus includes the
 /// `skew/*` families, where the tier genuinely improves the bound and a
 /// non-trivial witness participates in the serialized report.
 #[test]
@@ -143,22 +136,22 @@ fn decomposed_reports_match_monolithic_reference() {
     }
 }
 
-/// Every reorder schedule — crossed with thread counts and both
+/// Every ordering policy — crossed with thread counts and both
 /// σ-enumeration strategies — must reproduce the alloc-order sequential
-/// report byte for byte. Schedules change *when* sifting pays, never
-/// *what* comes out; this is the matrix the serve tier's cache-fingerprint
-/// exclusion of `reorder_schedule` relies on.
+/// report byte for byte. Order, worker split and Φ walk change only node
+/// counts and work, never *what* comes out; this is the matrix the serve
+/// tier's cache-fingerprint exclusion of `ordering`, `num_threads` and
+/// `sigma` relies on.
 #[test]
-fn reports_identical_across_reorder_schedules() {
+fn reports_identical_across_sigma_strategies() {
     let circuits: Vec<_> = corpus().into_iter().take(10).collect();
     for (name, circuit, base) in &circuits {
         let reference = serialized(circuit, VarOrder::Alloc, 1, base);
-        for &schedule in &SCHEDULES {
+        for &ordering in &POLICIES {
             for &threads in &[1usize, 2, 4] {
                 for &sigma in &[SigmaStrategy::Flat, SigmaStrategy::Pruned] {
                     let opts = MctOptions {
-                        ordering: VarOrder::Sift,
-                        reorder_schedule: schedule,
+                        ordering,
                         num_threads: threads,
                         sigma,
                         ..base.clone()
@@ -169,7 +162,7 @@ fn reports_identical_across_reorder_schedules() {
                     };
                     assert_eq!(
                         reference, got,
-                        "{name}: report under {schedule:?} schedule at {threads} threads \
+                        "{name}: report under {ordering:?} ordering at {threads} threads \
                          with {sigma:?} σ differs from the alloc-order sequential run"
                     );
                 }
@@ -179,8 +172,8 @@ fn reports_identical_across_reorder_schedules() {
 }
 
 /// Warm starts must reproduce the cold report under every policy — the
-/// snapshot carries the learned variable order, and importing it must not
-/// perturb any answer.
+/// snapshot carries the main manager's variable order, and importing it
+/// must not perturb any answer.
 #[test]
 fn warm_start_is_order_invariant() {
     let c = paper_figure2();
@@ -204,14 +197,17 @@ fn warm_start_is_order_invariant() {
 }
 
 /// Re-runs the invariance check in a child process with
-/// `MCT_BDD_SIFT_STRESS=1`, so the kernel reorders at *every* garbage
-/// collection mid-analysis. The env var is latched once per process, which
-/// is why this needs a child rather than `set_var` in-process.
+/// `MCT_BDD_GC_STRESS=1 MCT_BDD_COMPACT_STRESS=1`, so the kernel collects
+/// garbage and relocates every live node (DFS-preorder compaction, the
+/// one operation that moves handles) at *every* boundary mid-analysis.
+/// The env vars are latched once per process, which is why this needs a
+/// child rather than `set_var` in-process.
 #[test]
-fn reports_survive_forced_mid_analysis_reordering() {
+fn reports_survive_forced_mid_analysis_relocation() {
     if std::env::var_os("MCT_ORDER_STRESS_CHILD").is_some() {
-        // We are the child: stress sifting is active. A smaller corpus
-        // keeps the run affordable (every GC now pays a full sift pass).
+        // We are the child: stress collection and compaction are active.
+        // A smaller corpus keeps the run affordable (every boundary now
+        // pays a full collection and relocation).
         let circuits: Vec<_> = corpus().into_iter().take(8).collect();
         check_corpus(&circuits, &[1, 4]);
         return;
@@ -220,15 +216,16 @@ fn reports_survive_forced_mid_analysis_reordering() {
     let status = std::process::Command::new(exe)
         .args([
             "--exact",
-            "reports_survive_forced_mid_analysis_reordering",
+            "reports_survive_forced_mid_analysis_relocation",
             "--nocapture",
         ])
-        .env("MCT_BDD_SIFT_STRESS", "1")
+        .env("MCT_BDD_GC_STRESS", "1")
+        .env("MCT_BDD_COMPACT_STRESS", "1")
         .env("MCT_ORDER_STRESS_CHILD", "1")
         .status()
         .expect("spawn stress child");
     assert!(
         status.success(),
-        "order invariance violated under MCT_BDD_SIFT_STRESS=1"
+        "order invariance violated under MCT_BDD_GC_STRESS=1 MCT_BDD_COMPACT_STRESS=1"
     );
 }
